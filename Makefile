@@ -3,12 +3,12 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-short bench-json verify results examples fmt fmt-check vet lint check clean loadtest-short loadtest fuzz-short
+.PHONY: all build test test-short race cover bench bench-short bench-json verify results examples fmt fmt-check vet lint check clean loadtest-short loadtest fuzz-short perfbench-test
 
 all: build test
 
 # The full verification gate: everything CI should hold a change to.
-check: build test race vet lint
+check: build test race vet lint perfbench-test
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,12 @@ test-short:
 
 race:
 	$(GO) test -race ./...
+
+# perfbench is its own Go module, so ./... above never compiles it; this
+# keeps the benchmark building and its short tests passing against the
+# api/algo types it imports (~7 s).
+perfbench-test:
+	cd perfbench && $(GO) test -short ./...
 
 # Per-package statement coverage, with a total line at the bottom.
 cover:

@@ -27,6 +27,7 @@ import (
 	"os"
 	"time"
 
+	"reco/internal/algo"
 	"reco/internal/api"
 )
 
@@ -84,52 +85,50 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 func runSingle(ctx context.Context, client *api.Client, args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("single", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var req api.SingleRequest
 	demandPath := fs.String("demand", "-", "path to the demand matrix JSON ('-' for stdin)")
-	alg := fs.String("alg", "", "algorithm name (empty: the server's single-coflow default)")
-	delta := fs.Int64("delta", 100, "reconfiguration delay in ticks")
-	deadlineMS := fs.Int64("deadline-ms", 0, "request SLA in milliseconds (0 = none); the server answers 504 past it")
-	weight := fs.Float64("weight", 0, "admission weight (0 = default 1); heavier requests are shed last under overload")
-	cores := fs.Int("cores", 0, "K-core fabric width (0 or 1 = single switch; K > 1 needs a cores-capable algorithm)")
-	k := fs.Int("k", 0, "BvN term bound per coflow (0 = algorithm default; > 0 needs a sparse-capable algorithm)")
-	elecFrac := fs.Float64("elec-frac", 0, "electrical fabric rate as a fraction of one circuit lane (0 = algorithm default; > 0 needs a hybrid-capable algorithm)")
+	fs.StringVar(&req.Algorithm, "alg", "", "algorithm name (empty: the server's single-coflow default)")
+	fs.Int64Var(&req.Delta, "delta", 100, "reconfiguration delay in ticks")
+	bindRequestFlags(fs, &req.DeadlineMS, &req.Weight, &req.Knobs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var demand [][]int64
-	if err := readJSONInput(*demandPath, stdin, &demand); err != nil {
+	if err := readJSONInput(*demandPath, stdin, &req.Demand); err != nil {
 		return err
 	}
-	resp, err := client.ScheduleSingle(ctx, api.SingleRequest{
-		Demand: demand, Delta: *delta, Algorithm: *alg, DeadlineMS: *deadlineMS, Weight: *weight, Cores: *cores, K: *k, ElecFrac: *elecFrac,
-	})
+	resp, err := client.ScheduleSingle(ctx, req)
 	if err != nil {
 		return err
 	}
 	return writeJSON(stdout, resp)
 }
 
+// bindRequestFlags binds the flags single, multi and job submit share —
+// the SLA pair and one flag per algo.KnobTable entry — to a request's
+// fields.
+func bindRequestFlags(fs *flag.FlagSet, deadlineMS *int64, weight *float64, knobs *algo.Knobs) {
+	fs.Int64Var(deadlineMS, "deadline-ms", 0, "request SLA in milliseconds (0 = none); sync requests answer 504 past it, jobs drive admission and miss reporting with it")
+	fs.Float64Var(weight, "weight", 0, "admission weight (0 = default 1); heavier requests are shed last under overload")
+	algo.BindKnobFlags(fs, knobs)
+}
+
 func runMulti(ctx context.Context, client *api.Client, args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("multi", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var req api.MultiRequest
 	demandsPath := fs.String("demands", "-", "path to the demand matrices JSON ('-' for stdin)")
-	alg := fs.String("alg", "", "algorithm name (empty: the server's multi-coflow default)")
-	delta := fs.Int64("delta", 100, "reconfiguration delay in ticks")
-	c := fs.Int64("c", 4, "optical transmission threshold")
-	deadlineMS := fs.Int64("deadline-ms", 0, "request SLA in milliseconds (0 = none); the server answers 504 past it")
-	weight := fs.Float64("weight", 0, "admission weight (0 = default 1); heavier requests are shed last under overload")
-	cores := fs.Int("cores", 0, "K-core fabric width (0 or 1 = single switch; K > 1 needs a cores-capable algorithm)")
-	k := fs.Int("k", 0, "BvN term bound per coflow (0 = algorithm default; > 0 needs a sparse-capable algorithm)")
-	elecFrac := fs.Float64("elec-frac", 0, "electrical fabric rate as a fraction of one circuit lane (0 = algorithm default; > 0 needs a hybrid-capable algorithm)")
+	fs.StringVar(&req.Algorithm, "alg", "", "algorithm name (empty: the server's multi-coflow default)")
+	fs.Int64Var(&req.Delta, "delta", 100, "reconfiguration delay in ticks")
+	fs.Int64Var(&req.C, "c", 4, "optical transmission threshold")
+	bindRequestFlags(fs, &req.DeadlineMS, &req.Weight, &req.Knobs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	demands, err := readDemands(*demandsPath, stdin)
-	if err != nil {
+	var err error
+	if req.Demands, err = readDemands(*demandsPath, stdin); err != nil {
 		return err
 	}
-	resp, err := client.ScheduleMulti(ctx, api.MultiRequest{
-		Demands: demands, Delta: *delta, C: *c, Algorithm: *alg, DeadlineMS: *deadlineMS, Weight: *weight, Cores: *cores, K: *k, ElecFrac: *elecFrac,
-	})
+	resp, err := client.ScheduleMulti(ctx, req)
 	if err != nil {
 		return err
 	}
@@ -192,14 +191,11 @@ func runJobSubmit(ctx context.Context, client *api.Client, args []string, stdin 
 	kind := fs.String("kind", "single", `job kind: "single" or "multi"`)
 	demandPath := fs.String("demand", "-", "single: path to the demand matrix JSON ('-' for stdin)")
 	demandsPath := fs.String("demands", "-", "multi: path to the demand matrices JSON ('-' for stdin)")
-	delta := fs.Int64("delta", 100, "reconfiguration delay in ticks")
+	var sr api.SingleRequest // a multi job copies its shared fields
+	fs.Int64Var(&sr.Delta, "delta", 100, "reconfiguration delay in ticks")
 	c := fs.Int64("c", 4, "multi: optical transmission threshold")
-	alg := fs.String("alg", "", "algorithm name (empty: the kind's default)")
-	deadlineMS := fs.Int64("deadline-ms", 0, "job SLA in milliseconds (0 = none); drives admission and miss reporting")
-	weight := fs.Float64("weight", 0, "admission weight (0 = default 1); heavier jobs are shed last under overload")
-	cores := fs.Int("cores", 0, "K-core fabric width (0 or 1 = single switch; K > 1 needs a cores-capable algorithm)")
-	k := fs.Int("k", 0, "BvN term bound per coflow (0 = algorithm default; > 0 needs a sparse-capable algorithm)")
-	elecFrac := fs.Float64("elec-frac", 0, "electrical fabric rate as a fraction of one circuit lane (0 = algorithm default; > 0 needs a hybrid-capable algorithm)")
+	fs.StringVar(&sr.Algorithm, "alg", "", "algorithm name (empty: the kind's default)")
+	bindRequestFlags(fs, &sr.DeadlineMS, &sr.Weight, &sr.Knobs)
 	wait := fs.Bool("wait", false, "poll until the job finishes and print the final state")
 	poll := fs.Duration("poll", 100*time.Millisecond, "polling interval with -wait")
 	if err := fs.Parse(args); err != nil {
@@ -208,22 +204,18 @@ func runJobSubmit(ctx context.Context, client *api.Client, args []string, stdin 
 	req := api.JobRequest{Kind: *kind}
 	switch *kind {
 	case "single":
-		var demand [][]int64
-		if err := readJSONInput(*demandPath, stdin, &demand); err != nil {
+		if err := readJSONInput(*demandPath, stdin, &sr.Demand); err != nil {
 			return err
 		}
-		req.Single = &api.SingleRequest{
-			Demand: demand, Delta: *delta, Algorithm: *alg,
-			DeadlineMS: *deadlineMS, Weight: *weight, Cores: *cores, K: *k, ElecFrac: *elecFrac,
-		}
+		req.Single = &sr
 	case "multi":
 		demands, err := readDemands(*demandsPath, stdin)
 		if err != nil {
 			return err
 		}
 		req.Multi = &api.MultiRequest{
-			Demands: demands, Delta: *delta, C: *c, Algorithm: *alg,
-			DeadlineMS: *deadlineMS, Weight: *weight, Cores: *cores, K: *k, ElecFrac: *elecFrac,
+			Demands: demands, Delta: sr.Delta, C: *c, Algorithm: sr.Algorithm,
+			DeadlineMS: sr.DeadlineMS, Weight: sr.Weight, Knobs: sr.Knobs,
 		}
 	default:
 		return fmt.Errorf("unknown job kind %q", *kind)

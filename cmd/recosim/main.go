@@ -32,7 +32,8 @@
 // With -cores K (K > 1) the fabric is a K-core OCS — K parallel switching
 // cores sharing the ports, one transceiver per core per port (see
 // docs/TOPOLOGY.md). Only algorithms advertising the cores capability
-// accept K > 1; -cores 1 is the paper's single switch for every algorithm.
+// accept K > 1; -cores 0 (the default) and 1 are the paper's single switch
+// for every algorithm.
 //
 // With -k (k > 0) sparsity-bounded algorithms cap each coflow's BvN
 // decomposition at k permutation terms and drain whatever demand the k terms
@@ -43,7 +44,9 @@
 // With -elec-frac f (0 < f ≤ 1) hybrid algorithms run their electrical
 // fabric at fraction f of an optical circuit lane per port (see
 // docs/HYBRID.md); 0 keeps the algorithm's default. Only algorithms
-// advertising the hybrid capability accept -elec-frac > 0.
+// advertising the hybrid capability accept -elec-frac > 0. These knob flags
+// come from algo.KnobTable and are gated by algo.Check; -faults requires
+// every knob at its default.
 //
 // With -metrics-out FILE the attached metrics registry is pushed to FILE
 // as one compact JSON snapshot line every -metrics-interval (default 1s),
@@ -100,9 +103,6 @@ func run() int {
 		seed       = flag.Int64("seed", 1, "synthetic workload seed")
 		delta      = flag.Int64("delta", 100, "reconfiguration delay in ticks")
 		c          = flag.Int64("c", 4, "optical transmission threshold")
-		cores      = flag.Int("cores", 1, "parallel switching cores K (K > 1 needs an algorithm with the cores capability)")
-		kTerms     = flag.Int("k", 0, "BvN term bound per coflow (0 = algorithm default; > 0 needs the sparse capability)")
-		elecFrac   = flag.Float64("elec-frac", 0, "electrical fabric rate as a fraction of one circuit lane (0 = algorithm default; > 0 needs the hybrid capability)")
 		rescale    = flag.Int("rescale", 0, "fold the workload onto this many ports (0: keep)")
 		perCoflow  = flag.Bool("percoflow", false, "print each coflow's CCT")
 		showGantt  = flag.Bool("gantt", false, "render the schedule as an ASCII Gantt chart")
@@ -120,22 +120,17 @@ func run() int {
 		repair     = flag.Int64("repair", 0, "with -faults: port repair delay in ticks (0: half the clean CCT)")
 		faultSeed  = flag.Int64("faultseed", 1, "with -faults: fault-schedule seed")
 		traceCap   = flag.Int("trace-cap", 0, "with -tracefile: keep only the most recent N trace events (ring buffer; 0 = unbounded)")
+
+		knobs algo.Knobs
 	)
+	algo.BindKnobFlags(flag.CommandLine, &knobs)
 	flag.Parse()
 
 	if *alg == "list" {
 		fmt.Print(listAlgorithms())
 		return 0
 	}
-	if err := validateCores(*cores, *withFaults); err != nil {
-		fmt.Fprintf(os.Stderr, "recosim: %v\n", err)
-		return 1
-	}
-	if err := validateK(*kTerms, *withFaults); err != nil {
-		fmt.Fprintf(os.Stderr, "recosim: %v\n", err)
-		return 1
-	}
-	if err := validateElecFrac(*elecFrac, *withFaults); err != nil {
+	if err := checkKnobs(knobs, *withFaults); err != nil {
 		fmt.Fprintf(os.Stderr, "recosim: %v\n", err)
 		return 1
 	}
@@ -215,19 +210,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "recosim: %v\n", err)
 		return 1
 	}
-	if err := checkCoresCap(*alg, sched.Caps(), *cores); err != nil {
-		fmt.Fprintf(os.Stderr, "recosim: %v\n", err)
-		return 1
-	}
-	if err := checkSparseCap(*alg, sched.Caps(), *kTerms); err != nil {
-		fmt.Fprintf(os.Stderr, "recosim: %v\n", err)
-		return 1
-	}
-	if err := checkHybridCap(*alg, sched.Caps(), *elecFrac); err != nil {
-		fmt.Fprintf(os.Stderr, "recosim: %v\n", err)
-		return 1
-	}
-	res, err := sched.Schedule(ctx, algo.Request{Demands: ds, Weights: w, Delta: *delta, C: *c, Cores: *cores, K: *kTerms, ElecFrac: *elecFrac})
+	res, err := sched.Schedule(ctx, algo.Request{Demands: ds, Weights: w, Delta: *delta, C: *c, Knobs: knobs})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "recosim: %v\n", err)
 		return 1
@@ -254,14 +237,10 @@ func run() int {
 	fmt.Printf("algorithm      %s\n", *alg)
 	fmt.Printf("coflows        %d on %d ports\n", len(ds), ds[0].N())
 	fmt.Printf("delta, c       %d ticks, %d\n", *delta, *c)
-	if *cores > 1 {
-		fmt.Printf("cores          %d\n", *cores)
-	}
-	if *kTerms > 0 {
-		fmt.Printf("k              %d terms\n", *kTerms)
-	}
-	if *elecFrac > 0 {
-		fmt.Printf("elec-frac      %g\n", *elecFrac)
+	for i := range algo.KnobTable {
+		if kn := &algo.KnobTable[i]; kn.Active(knobs) {
+			fmt.Printf("%-15s%v\n", kn.Flag(), kn.Value(knobs))
+		}
 	}
 	fmt.Printf("reconfigs      %d\n", reconfigs)
 	fmt.Printf("avg CCT        %.0f ticks\n", mean)
@@ -304,67 +283,17 @@ func listAlgorithms() string {
 	return b.String()
 }
 
-// validateCores rejects malformed -cores values before any scheduling work:
-// K < 1 is never a fabric, and the fault simulator models the single switch.
-func validateCores(cores int, faulted bool) error {
-	if cores < 1 {
-		return fmt.Errorf("-cores %d: core count must be at least 1", cores)
+// checkKnobs rejects out-of-range knob flags before any scheduling work.
+// The fault simulator replays full Reco-Sin schedules on the paper's
+// single all-optical switch, so with -faults no knob may be active.
+func checkKnobs(k algo.Knobs, faulted bool) error {
+	if err := algo.ValidateKnobs(k); err != nil {
+		return err
 	}
-	if cores > 1 && faulted {
-		return fmt.Errorf("-faults runs the single-switch fault simulator; -cores must be 1")
-	}
-	return nil
-}
-
-// checkCoresCap rejects -cores K > 1 for algorithms that schedule a single
-// switch and would silently ignore the extra cores.
-func checkCoresCap(alg string, caps algo.Capabilities, cores int) error {
-	if cores > 1 && !caps.Cores {
-		return fmt.Errorf("-cores %d: algorithm %s schedules a single switch (no cores capability)", cores, alg)
-	}
-	return nil
-}
-
-// validateK rejects malformed -k values before any scheduling work: a
-// negative term bound is meaningless, and the fault simulator replays full
-// Reco-Sin schedules only.
-func validateK(k int, faulted bool) error {
-	if k < 0 {
-		return fmt.Errorf("-k %d: term bound must be non-negative", k)
-	}
-	if k > 0 && faulted {
-		return fmt.Errorf("-faults runs full Reco-Sin schedules; -k must be 0")
-	}
-	return nil
-}
-
-// checkSparseCap rejects -k > 0 for algorithms that always emit the full
-// decomposition and would silently ignore the term bound.
-func checkSparseCap(alg string, caps algo.Capabilities, k int) error {
-	if k > 0 && !caps.Sparse {
-		return fmt.Errorf("-k %d: algorithm %s ignores the term bound (no sparse capability)", k, alg)
-	}
-	return nil
-}
-
-// validateElecFrac rejects malformed -elec-frac values before any scheduling
-// work: the electrical fabric rate is a fraction of one circuit lane, and the
-// fault simulator models the all-optical switch only.
-func validateElecFrac(frac float64, faulted bool) error {
-	if frac < 0 || frac > 1 {
-		return fmt.Errorf("-elec-frac %v: electrical fraction must be in [0, 1]", frac)
-	}
-	if frac > 0 && faulted {
-		return fmt.Errorf("-faults runs the all-optical fault simulator; -elec-frac must be 0")
-	}
-	return nil
-}
-
-// checkHybridCap rejects -elec-frac > 0 for algorithms without an electrical
-// fabric, which would silently ignore the knob.
-func checkHybridCap(alg string, caps algo.Capabilities, frac float64) error {
-	if frac > 0 && !caps.Hybrid {
-		return fmt.Errorf("-elec-frac %v: algorithm %s ignores the electrical fraction (no hybrid capability)", frac, alg)
+	for i := range algo.KnobTable {
+		if kn := &algo.KnobTable[i]; faulted && kn.Active(k) {
+			return fmt.Errorf("-faults replays single-switch, all-optical Reco-Sin schedules; -%s %v is not supported", kn.Flag(), kn.Value(k))
+		}
 	}
 	return nil
 }
@@ -385,14 +314,10 @@ func capTags(c algo.Capabilities) string {
 	if c.FlowLevel {
 		tags = append(tags, "flows")
 	}
-	if c.Cores {
-		tags = append(tags, "cores")
-	}
-	if c.Sparse {
-		tags = append(tags, "sparse")
-	}
-	if c.Hybrid {
-		tags = append(tags, "hybrid")
+	for i := range algo.KnobTable {
+		if kn := &algo.KnobTable[i]; kn.Has(c) {
+			tags = append(tags, kn.Capability)
+		}
 	}
 	return "[" + strings.Join(tags, " ") + "]"
 }

@@ -2,13 +2,16 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strings"
 	"testing"
 
 	"reco/internal/algo"
+	"reco/internal/matrix"
 )
 
 // docCommentAlgorithms extracts the algorithm names listed in main.go's doc
@@ -82,31 +85,56 @@ func TestReadmeListsRegistry(t *testing.T) {
 	}
 }
 
-// TestCoresValidation: -cores K < 1 and -cores with -faults are rejected
-// with clear errors, and K > 1 requires the cores capability.
+// knobCase is one checkKnobs input and whether it must be accepted.
+type knobCase struct {
+	k       algo.Knobs
+	faulted bool
+	ok      bool
+}
+
+func runKnobCases(t *testing.T, cases []knobCase) {
+	t.Helper()
+	for _, tc := range cases {
+		if err := checkKnobs(tc.k, tc.faulted); (err == nil) != tc.ok {
+			t.Errorf("checkKnobs(%+v, faults=%v) = %v, want ok=%v", tc.k, tc.faulted, err, tc.ok)
+		}
+	}
+}
+
+// checkCap runs the capability gate recosim's Schedule call goes through
+// (algo.Check) for the registered algorithm name on a small valid request.
+func checkCap(t *testing.T, name string, k algo.Knobs) error {
+	t.Helper()
+	s, err := algo.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := matrix.FromRows([][]int64{{0, 5}, {7, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return algo.Check(s, algo.Request{Demands: []*matrix.Matrix{d}, Delta: 1, C: 1, Knobs: k})
+}
+
+// TestCoresValidation: negative -cores and -cores K > 1 with -faults are
+// rejected with clear errors (0 and 1 both mean the single switch), and
+// K > 1 requires the cores capability.
 func TestCoresValidation(t *testing.T) {
-	if err := validateCores(0, false); err == nil {
-		t.Error("-cores 0 accepted")
+	runKnobCases(t, []knobCase{
+		{algo.Knobs{Cores: -3}, false, false},
+		{algo.Knobs{Cores: 2}, true, false},
+		{algo.Knobs{}, true, true},
+		{algo.Knobs{Cores: 1}, true, true},
+		{algo.Knobs{Cores: 4}, false, true},
+		{algo.Knobs{Cores: 4, K: 8, ElecFrac: 0.5}, false, true},
+	})
+	if err := checkCap(t, "reco-sin", algo.Knobs{Cores: 2}); !errors.Is(err, algo.ErrBadRequest) {
+		t.Errorf("-cores 2 for a single-switch algorithm: %v, want ErrBadRequest", err)
 	}
-	if err := validateCores(-3, false); err == nil {
-		t.Error("-cores -3 accepted")
-	}
-	if err := validateCores(2, true); err == nil {
-		t.Error("-cores 2 with -faults accepted")
-	}
-	if err := validateCores(1, true); err != nil {
-		t.Errorf("-cores 1 with -faults rejected: %v", err)
-	}
-	if err := validateCores(4, false); err != nil {
-		t.Errorf("-cores 4 rejected: %v", err)
-	}
-	if err := checkCoresCap("reco-sin", algo.Capabilities{}, 2); err == nil {
-		t.Error("-cores 2 accepted for a single-switch algorithm")
-	}
-	if err := checkCoresCap("kcore", algo.Capabilities{Cores: true}, 8); err != nil {
+	if err := checkCap(t, "kcore", algo.Knobs{Cores: 8}); err != nil {
 		t.Errorf("-cores 8 rejected for a cores-capable algorithm: %v", err)
 	}
-	if err := checkCoresCap("reco-sin", algo.Capabilities{}, 1); err != nil {
+	if err := checkCap(t, "reco-sin", algo.Knobs{Cores: 1}); err != nil {
 		t.Errorf("-cores 1 rejected for a single-switch algorithm: %v", err)
 	}
 }
@@ -114,55 +142,42 @@ func TestCoresValidation(t *testing.T) {
 // TestKValidation: -k < 0 and -k with -faults are rejected with clear
 // errors, and k > 0 requires the sparse capability.
 func TestKValidation(t *testing.T) {
-	if err := validateK(-1, false); err == nil {
-		t.Error("-k -1 accepted")
+	runKnobCases(t, []knobCase{
+		{algo.Knobs{K: -1}, false, false},
+		{algo.Knobs{K: 4}, true, false},
+		{algo.Knobs{K: 0}, true, true},
+		{algo.Knobs{K: 8}, false, true},
+	})
+	if err := checkCap(t, "reco-sin", algo.Knobs{K: 4}); !errors.Is(err, algo.ErrBadRequest) {
+		t.Errorf("-k 4 for a dense-only algorithm: %v, want ErrBadRequest", err)
 	}
-	if err := validateK(4, true); err == nil {
-		t.Error("-k 4 with -faults accepted")
-	}
-	if err := validateK(0, true); err != nil {
-		t.Errorf("-k 0 with -faults rejected: %v", err)
-	}
-	if err := validateK(8, false); err != nil {
-		t.Errorf("-k 8 rejected: %v", err)
-	}
-	if err := checkSparseCap("reco-sin", algo.Capabilities{}, 4); err == nil {
-		t.Error("-k 4 accepted for a dense-only algorithm")
-	}
-	if err := checkSparseCap("reco-sparse", algo.Capabilities{Sparse: true}, 4); err != nil {
+	if err := checkCap(t, "reco-sparse", algo.Knobs{K: 4}); err != nil {
 		t.Errorf("-k 4 rejected for a sparse-capable algorithm: %v", err)
 	}
-	if err := checkSparseCap("reco-sin", algo.Capabilities{}, 0); err != nil {
+	if err := checkCap(t, "reco-sin", algo.Knobs{K: 0}); err != nil {
 		t.Errorf("-k 0 rejected for a dense-only algorithm: %v", err)
 	}
 }
 
-// TestElecFracValidation: -elec-frac outside [0, 1] and -elec-frac with
-// -faults are rejected with clear errors, and a positive fraction requires
-// the hybrid capability.
+// TestElecFracValidation: -elec-frac outside [0, 1] (NaN included) and
+// -elec-frac with -faults are rejected with clear errors, and a positive
+// fraction requires the hybrid capability.
 func TestElecFracValidation(t *testing.T) {
-	if err := validateElecFrac(-0.1, false); err == nil {
-		t.Error("-elec-frac -0.1 accepted")
+	runKnobCases(t, []knobCase{
+		{algo.Knobs{ElecFrac: -0.1}, false, false},
+		{algo.Knobs{ElecFrac: 1.5}, false, false},
+		{algo.Knobs{ElecFrac: math.NaN()}, false, false},
+		{algo.Knobs{ElecFrac: 0.2}, true, false},
+		{algo.Knobs{ElecFrac: 0}, true, true},
+		{algo.Knobs{ElecFrac: 0.5}, false, true},
+	})
+	if err := checkCap(t, "reco-sin", algo.Knobs{ElecFrac: 0.2}); !errors.Is(err, algo.ErrBadRequest) {
+		t.Errorf("-elec-frac 0.2 for an all-optical algorithm: %v, want ErrBadRequest", err)
 	}
-	if err := validateElecFrac(1.5, false); err == nil {
-		t.Error("-elec-frac 1.5 accepted")
-	}
-	if err := validateElecFrac(0.2, true); err == nil {
-		t.Error("-elec-frac 0.2 with -faults accepted")
-	}
-	if err := validateElecFrac(0, true); err != nil {
-		t.Errorf("-elec-frac 0 with -faults rejected: %v", err)
-	}
-	if err := validateElecFrac(0.5, false); err != nil {
-		t.Errorf("-elec-frac 0.5 rejected: %v", err)
-	}
-	if err := checkHybridCap("reco-sin", algo.Capabilities{}, 0.2); err == nil {
-		t.Error("-elec-frac 0.2 accepted for an all-optical algorithm")
-	}
-	if err := checkHybridCap("hybrid-fluid", algo.Capabilities{Hybrid: true}, 0.2); err != nil {
+	if err := checkCap(t, "hybrid-fluid", algo.Knobs{ElecFrac: 0.2}); err != nil {
 		t.Errorf("-elec-frac 0.2 rejected for a hybrid-capable algorithm: %v", err)
 	}
-	if err := checkHybridCap("reco-sin", algo.Capabilities{}, 0); err != nil {
+	if err := checkCap(t, "reco-sin", algo.Knobs{ElecFrac: 0}); err != nil {
 		t.Errorf("-elec-frac 0 rejected for an all-optical algorithm: %v", err)
 	}
 }

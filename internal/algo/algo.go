@@ -82,34 +82,28 @@ const (
 
 // Capabilities describes what a Scheduler supports, for dispatchers that
 // must pick (or reject) algorithms by shape and for the /v1/algorithms
-// listing.
+// listing, whose wire names are the JSON tags.
 type Capabilities struct {
 	// SingleCoflow: the algorithm meaningfully schedules one coflow.
-	SingleCoflow bool
+	SingleCoflow bool `json:"singleCoflow"`
 	// MultiCoflow: the algorithm is natively coflow-aware across a batch
 	// (ordering or joint optimization), rather than serving a batch as
 	// independent back-to-back coflows.
-	MultiCoflow bool
+	MultiCoflow bool `json:"multiCoflow"`
 	// NotAllStop: reconfigurations stall only the ports involved; false
 	// means the all-stop model.
-	NotAllStop bool
+	NotAllStop bool `json:"notAllStop"`
 	// FlowLevel: Result.Flows carries the complete flow-level schedule.
 	// Aggregate-only algorithms (hybrid, the online policies) report CCTs
 	// and reconfiguration counts without per-flow intervals.
-	FlowLevel bool
-	// Cores: the algorithm honors Request.Cores and schedules across a
-	// multi-core fabric. Algorithms without it treat every request as
-	// single-core and dispatchers must reject Cores > 1 for them.
-	Cores bool
-	// Sparse: the algorithm honors Request.K, the sparsity bound on BvN
-	// permutation terms. Dispatchers must reject K > 0 for algorithms
-	// without it, which would silently ignore the knob.
-	Sparse bool
-	// Hybrid: the algorithm honors Request.ElecFrac, the electrical
-	// bandwidth fraction of a hybrid circuit/packet fabric. Dispatchers
-	// must reject ElecFrac > 0 for algorithms without it, which would
-	// silently ignore the knob.
-	Hybrid bool
+	FlowLevel bool `json:"flowLevel"`
+	// Cores, Sparse and Hybrid: the algorithm honors the Request knob of
+	// the same KnobTable entry (Cores, K and ElecFrac respectively). Check
+	// rejects an active knob for an algorithm without its capability, which
+	// would silently ignore it.
+	Cores  bool `json:"cores"`
+	Sparse bool `json:"sparse"`
+	Hybrid bool `json:"hybrid"`
 }
 
 // Request is the unified scheduling input: a coflow set with optional
@@ -126,18 +120,10 @@ type Request struct {
 	// C is the optical transmission threshold (Reco-Mul's grid parameter);
 	// algorithms that do not use it ignore it.
 	C int64
-	// Cores is the number of parallel switching cores of the fabric; 0 and 1
-	// both mean the paper's single switch. Only algorithms whose
-	// Capabilities.Cores is set honor values above 1.
-	Cores int
-	// K bounds the number of BvN permutation terms per coflow for
-	// sparsity-bounded schedulers (reco-sparse); 0 means the algorithm's
-	// default. Only algorithms whose Capabilities.Sparse is set honor it.
-	K int
-	// ElecFrac is the electrical fabric's per-port bandwidth as a fraction
-	// of one optical circuit lane, in [0, 1]; 0 means the algorithm's
-	// default. Only algorithms whose Capabilities.Hybrid is set honor it.
-	ElecFrac float64
+	// Knobs are the optional per-algorithm parameters (cores, k,
+	// elec_frac); see KnobTable. Only algorithms with the matching
+	// capability honor an active value.
+	Knobs
 }
 
 // Result is the unified scheduling output.
@@ -167,12 +153,15 @@ type Scheduler interface {
 	Caps() Capabilities
 	// Schedule runs the algorithm. Implementations check ctx periodically in
 	// their long-running loops (LP solves, BvN extraction, per-coflow scans)
-	// and return ctx.Err() promptly once it is cancelled.
+	// and return ctx.Err() promptly once it is cancelled. The registry
+	// runs Check before every call, so implementations registered with
+	// Register may assume a well-formed request.
 	Schedule(ctx context.Context, req Request) (*Result, error)
 }
 
 // ValidateRequest checks the shape shared by every algorithm: at least one
-// demand matrix, all matrices present and of one dimension, δ non-negative.
+// demand matrix, all matrices present and of one dimension, δ non-negative,
+// every knob within its range. Check runs it after the capability gate.
 func ValidateRequest(req Request) error {
 	if len(req.Demands) == 0 {
 		return fmt.Errorf("%w: no demand matrices", ErrBadRequest)
@@ -191,14 +180,5 @@ func ValidateRequest(req Request) error {
 	if req.Delta < 0 {
 		return fmt.Errorf("%w: negative delta %d", ErrBadRequest, req.Delta)
 	}
-	if req.Cores < 0 {
-		return fmt.Errorf("%w: negative core count %d", ErrBadRequest, req.Cores)
-	}
-	if req.K < 0 {
-		return fmt.Errorf("%w: negative term bound %d", ErrBadRequest, req.K)
-	}
-	if req.ElecFrac < 0 || req.ElecFrac > 1 {
-		return fmt.Errorf("%w: electrical fraction %v outside [0, 1]", ErrBadRequest, req.ElecFrac)
-	}
-	return nil
+	return ValidateKnobs(req.Knobs)
 }

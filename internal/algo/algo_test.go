@@ -3,6 +3,7 @@ package algo
 import (
 	"context"
 	"errors"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -101,6 +102,13 @@ func TestValidateRequest(t *testing.T) {
 		{"nil matrix", Request{Demands: []*matrix.Matrix{nil}, Delta: 10}, false},
 		{"mixed dims", Request{Demands: []*matrix.Matrix{d, small}, Delta: 10}, false},
 		{"negative delta", Request{Demands: []*matrix.Matrix{d}, Delta: -1}, false},
+		{"single-switch cores", Request{Demands: []*matrix.Matrix{d}, Knobs: Knobs{Cores: 1}}, true},
+		{"negative cores", Request{Demands: []*matrix.Matrix{d}, Knobs: Knobs{Cores: -1}}, false},
+		{"negative k", Request{Demands: []*matrix.Matrix{d}, Knobs: Knobs{K: -1}}, false},
+		{"elec frac one", Request{Demands: []*matrix.Matrix{d}, Knobs: Knobs{ElecFrac: 1}}, true},
+		{"negative elec frac", Request{Demands: []*matrix.Matrix{d}, Knobs: Knobs{ElecFrac: -0.1}}, false},
+		{"elec frac above one", Request{Demands: []*matrix.Matrix{d}, Knobs: Knobs{ElecFrac: 1.5}}, false},
+		{"NaN elec frac", Request{Demands: []*matrix.Matrix{d}, Knobs: Knobs{ElecFrac: math.NaN()}}, false},
 	}
 	for _, tc := range cases {
 		err := ValidateRequest(tc.req)
@@ -114,5 +122,24 @@ func TestValidateRequest(t *testing.T) {
 				t.Errorf("%s: error %v is not ErrBadRequest", tc.name, err)
 			}
 		}
+	}
+}
+
+// TestCheckAllocatesNothing: the gate runs on every request (twice on the
+// API path: up front and inside the registry wrapper), so on a valid
+// request it must not allocate.
+func TestCheckAllocatesNothing(t *testing.T) {
+	d, err := matrix.New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s Scheduler = fake{name: "alloc-test"}
+	req := Request{Demands: []*matrix.Matrix{d, d}, Delta: 10, C: 4, Knobs: Knobs{Cores: 1, ElecFrac: 0}}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := Check(s, req); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Check allocated %v times per call", allocs)
 	}
 }

@@ -122,9 +122,6 @@ func (p *perCoflow) Describe() string        { return p.desc }
 func (p *perCoflow) Caps() algo.Capabilities { return p.caps }
 
 func (p *perCoflow) Schedule(ctx context.Context, req algo.Request) (*algo.Result, error) {
-	if err := algo.ValidateRequest(req); err != nil {
-		return nil, err
-	}
 	schedules := make([]ocs.CircuitSchedule, len(req.Demands))
 	for k, d := range req.Demands {
 		if err := ctx.Err(); err != nil {
@@ -164,9 +161,6 @@ func (recoMul) Caps() algo.Capabilities {
 }
 
 func (recoMul) Schedule(ctx context.Context, req algo.Request) (*algo.Result, error) {
-	if err := algo.ValidateRequest(req); err != nil {
-		return nil, err
-	}
 	res, err := core.ScheduleMulCtx(ctx, req.Demands, req.Weights, req.Delta, req.C)
 	if err != nil {
 		return nil, err
@@ -186,9 +180,6 @@ func (lpiiSequential) Caps() algo.Capabilities {
 }
 
 func (lpiiSequential) Schedule(ctx context.Context, req algo.Request) (*algo.Result, error) {
-	if err := algo.ValidateRequest(req); err != nil {
-		return nil, err
-	}
 	res, err := lpiigb.ScheduleSequentialCtx(ctx, req.Demands, req.Weights, req.Delta)
 	if err != nil {
 		return nil, err
@@ -208,9 +199,6 @@ func (lpiiGrouped) Caps() algo.Capabilities {
 }
 
 func (lpiiGrouped) Schedule(ctx context.Context, req algo.Request) (*algo.Result, error) {
-	if err := algo.ValidateRequest(req); err != nil {
-		return nil, err
-	}
 	res, err := lpiigb.ScheduleCtx(ctx, req.Demands, req.Weights, req.Delta)
 	if err != nil {
 		return nil, err
@@ -231,9 +219,6 @@ func (sunflowSched) Caps() algo.Capabilities {
 }
 
 func (sunflowSched) Schedule(ctx context.Context, req algo.Request) (*algo.Result, error) {
-	if err := algo.ValidateRequest(req); err != nil {
-		return nil, err
-	}
 	out := &algo.Result{CCTs: make([]int64, len(req.Demands))}
 	var now int64
 	for k, d := range req.Demands {
@@ -271,9 +256,6 @@ func (hybridSched) Caps() algo.Capabilities {
 }
 
 func (hybridSched) Schedule(ctx context.Context, req algo.Request) (*algo.Result, error) {
-	if err := algo.ValidateRequest(req); err != nil {
-		return nil, err
-	}
 	out := &algo.Result{CCTs: make([]int64, len(req.Demands))}
 	var now int64
 	for k, d := range req.Demands {
@@ -311,9 +293,6 @@ func (o onlineSched) Caps() algo.Capabilities {
 }
 
 func (o onlineSched) Schedule(ctx context.Context, req algo.Request) (*algo.Result, error) {
-	if err := algo.ValidateRequest(req); err != nil {
-		return nil, err
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

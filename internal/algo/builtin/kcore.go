@@ -31,9 +31,6 @@ func (kcoreScheduler) Caps() algo.Capabilities {
 }
 
 func (kcoreScheduler) Schedule(ctx context.Context, req algo.Request) (*algo.Result, error) {
-	if err := algo.ValidateRequest(req); err != nil {
-		return nil, err
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

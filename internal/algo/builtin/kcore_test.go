@@ -29,7 +29,7 @@ func kcoreReq(t *testing.T, seed int64, cores int) algo.Request {
 		}
 		ds[k] = d
 	}
-	return algo.Request{Demands: ds, Delta: 50, C: 4, Cores: cores}
+	return algo.Request{Demands: ds, Delta: 50, C: 4, Knobs: algo.Knobs{Cores: cores}}
 }
 
 func TestKCoreHonorsRequestCores(t *testing.T) {

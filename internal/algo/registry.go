@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -15,10 +16,12 @@ var (
 	registry = map[string]Scheduler{}
 )
 
-// Register adds s to the process-global registry. It panics on an empty
-// name or a duplicate registration — both are programmer errors caught the
-// first time the process runs, exactly like http.ServeMux or database/sql
-// driver registration.
+// Register adds s to the process-global registry, wrapped so that its
+// Schedule runs Check first: every registry lookup returns a gated
+// scheduler, and the wrapper is built once here rather than per request.
+// It panics on an empty name or a duplicate registration — both are
+// programmer errors caught the first time the process runs, exactly like
+// http.ServeMux or database/sql driver registration.
 func Register(s Scheduler) {
 	name := s.Name()
 	if name == "" {
@@ -29,7 +32,17 @@ func Register(s Scheduler) {
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("algo: Register called twice for %q", name))
 	}
-	registry[name] = s
+	registry[name] = gated{s}
+}
+
+// gated is a registered Scheduler whose Schedule passes Check first.
+type gated struct{ Scheduler }
+
+func (g gated) Schedule(ctx context.Context, req Request) (*Result, error) {
+	if err := Check(g.Scheduler, req); err != nil {
+		return nil, err
+	}
+	return g.Scheduler.Schedule(ctx, req)
 }
 
 // Get resolves a registered algorithm by name. The error of an unknown name

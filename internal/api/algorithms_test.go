@@ -168,7 +168,7 @@ func TestScheduleMultiCoresField(t *testing.T) {
 		t.Fatalf("kcore cores=0: %v", err)
 	}
 	k1, err := client.ScheduleMulti(context.Background(),
-		MultiRequest{Demands: demands, Delta: 100, C: 4, Algorithm: algo.NameKCore, Cores: 1})
+		MultiRequest{Demands: demands, Delta: 100, C: 4, Algorithm: algo.NameKCore, Knobs: algo.Knobs{Cores: 1}})
 	if err != nil {
 		t.Fatalf("kcore cores=1: %v", err)
 	}
@@ -176,7 +176,7 @@ func TestScheduleMultiCoresField(t *testing.T) {
 		t.Error("cores 0 and 1 disagree on the single switch")
 	}
 	k2, err := client.ScheduleMulti(context.Background(),
-		MultiRequest{Demands: demands, Delta: 100, C: 4, Algorithm: algo.NameKCore, Cores: 2})
+		MultiRequest{Demands: demands, Delta: 100, C: 4, Algorithm: algo.NameKCore, Knobs: algo.Knobs{Cores: 2}})
 	if err != nil {
 		t.Fatalf("kcore cores=2: %v", err)
 	}
@@ -185,8 +185,8 @@ func TestScheduleMultiCoresField(t *testing.T) {
 	}
 
 	for _, bad := range []MultiRequest{
-		{Demands: demands, Delta: 100, C: 4, Algorithm: algo.NameKCore, Cores: -2},
-		{Demands: demands, Delta: 100, C: 4, Algorithm: algo.NameRecoMul, Cores: 3},
+		{Demands: demands, Delta: 100, C: 4, Algorithm: algo.NameKCore, Knobs: algo.Knobs{Cores: -2}},
+		{Demands: demands, Delta: 100, C: 4, Algorithm: algo.NameRecoMul, Knobs: algo.Knobs{Cores: 3}},
 	} {
 		body, _ := json.Marshal(bad)
 		resp, err := http.Post(srv.URL+"/v1/schedule/multi", "application/json", bytes.NewReader(body))
@@ -220,7 +220,7 @@ func TestScheduleSingleElecFracField(t *testing.T) {
 		t.Fatalf("hybrid-fluid default: %v", err)
 	}
 	explicit, err := client.ScheduleSingle(context.Background(),
-		SingleRequest{Demand: demand, Delta: 100, Algorithm: algo.NameHybridFluid, ElecFrac: 0.1})
+		SingleRequest{Demand: demand, Delta: 100, Algorithm: algo.NameHybridFluid, Knobs: algo.Knobs{ElecFrac: 0.1}})
 	if err != nil {
 		t.Fatalf("hybrid-fluid elec_frac=0.1: %v", err)
 	}
@@ -228,7 +228,7 @@ func TestScheduleSingleElecFracField(t *testing.T) {
 		t.Error("elec_frac 0 (default) and 0.1 disagree")
 	}
 	half, err := client.ScheduleSingle(context.Background(),
-		SingleRequest{Demand: demand, Delta: 100, Algorithm: algo.NameHybridFluid, ElecFrac: 0.5})
+		SingleRequest{Demand: demand, Delta: 100, Algorithm: algo.NameHybridFluid, Knobs: algo.Knobs{ElecFrac: 0.5}})
 	if err != nil {
 		t.Fatalf("hybrid-fluid elec_frac=0.5: %v", err)
 	}
@@ -237,9 +237,9 @@ func TestScheduleSingleElecFracField(t *testing.T) {
 	}
 
 	for _, bad := range []SingleRequest{
-		{Demand: demand, Delta: 100, Algorithm: algo.NameRecoSin, ElecFrac: 0.2},
-		{Demand: demand, Delta: 100, Algorithm: algo.NameHybridFluid, ElecFrac: -0.1},
-		{Demand: demand, Delta: 100, Algorithm: algo.NameHybridFluid, ElecFrac: 1.7},
+		{Demand: demand, Delta: 100, Algorithm: algo.NameRecoSin, Knobs: algo.Knobs{ElecFrac: 0.2}},
+		{Demand: demand, Delta: 100, Algorithm: algo.NameHybridFluid, Knobs: algo.Knobs{ElecFrac: -0.1}},
+		{Demand: demand, Delta: 100, Algorithm: algo.NameHybridFluid, Knobs: algo.Knobs{ElecFrac: 1.7}},
 	} {
 		body, _ := json.Marshal(bad)
 		resp, err := http.Post(srv.URL+"/v1/schedule/single", "application/json", bytes.NewReader(body))

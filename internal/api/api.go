@@ -112,17 +112,10 @@ func (s *Server) schedule(ctx context.Context, name string, req algo.Request) (*
 	if err != nil {
 		return nil, err
 	}
-	if req.Cores > 1 && !sched.Caps().Cores {
-		return nil, fmt.Errorf("%w: cores %d: algorithm %s schedules a single switch (no cores capability)",
-			algo.ErrBadRequest, req.Cores, name)
-	}
-	if req.K > 0 && !sched.Caps().Sparse {
-		return nil, fmt.Errorf("%w: k %d: algorithm %s ignores the term bound (no sparse capability)",
-			algo.ErrBadRequest, req.K, name)
-	}
-	if req.ElecFrac > 0 && !sched.Caps().Hybrid {
-		return nil, fmt.Errorf("%w: elec_frac %v: algorithm %s ignores the electrical fraction (no hybrid capability)",
-			algo.ErrBadRequest, req.ElecFrac, name)
+	// Gate before the cache so an invalid request is never keyed or
+	// coalesced; the check allocates nothing on valid requests.
+	if err := algo.Check(sched, req); err != nil {
+		return nil, err
 	}
 	if s.group == nil {
 		return sched.Schedule(ctx, req)
@@ -152,19 +145,10 @@ type SingleRequest struct {
 	// weights are shed last. Zero means 1. It never affects the computed
 	// schedule (or its cache key), only which work survives overload.
 	Weight float64 `json:"weight,omitempty"`
-	// Cores is the K-core fabric width (docs/TOPOLOGY.md). 0 and 1 both
-	// mean the paper's single switch; K > 1 needs an algorithm whose
-	// capabilities include cores.
-	Cores int `json:"cores,omitempty"`
-	// K bounds the BvN permutation terms for sparsity-bounded schedulers
-	// (reco-sparse). Zero means the algorithm's default; K > 0 needs an
-	// algorithm whose capabilities include sparse.
-	K int `json:"k,omitempty"`
-	// ElecFrac is the electrical bandwidth fraction for hybrid schedulers
-	// (docs/HYBRID.md), in [0, 1]. Zero means the algorithm's default;
-	// a positive value needs an algorithm whose capabilities include
-	// hybrid.
-	ElecFrac float64 `json:"elec_frac,omitempty"`
+	// Knobs are the optional per-algorithm parameters ("cores", "k",
+	// "elec_frac"; see algo.KnobTable). Each is zero by default, and an
+	// active value needs an algorithm with the matching capability.
+	algo.Knobs
 }
 
 // toAlgo validates the request into the registry shape.
@@ -177,7 +161,7 @@ func (r SingleRequest) toAlgo() (string, algo.Request, error) {
 	if name == "" {
 		name = algo.NameRecoSin
 	}
-	return name, algo.Request{Demands: []*matrix.Matrix{d}, Delta: r.Delta, C: defaultC, Cores: r.Cores, K: r.K, ElecFrac: r.ElecFrac}, nil
+	return name, algo.Request{Demands: []*matrix.Matrix{d}, Delta: r.Delta, C: defaultC, Knobs: r.Knobs}, nil
 }
 
 // Assignment mirrors ocs.Assignment for the wire.
@@ -229,13 +213,9 @@ type MultiRequest struct {
 	// Weight is the request's admission weight; see SingleRequest.Weight.
 	// It is distinct from Weights, which shapes the schedule itself.
 	Weight float64 `json:"weight,omitempty"`
-	// Cores is the K-core fabric width; see SingleRequest.Cores.
-	Cores int `json:"cores,omitempty"`
-	// K is the BvN term bound; see SingleRequest.K.
-	K int `json:"k,omitempty"`
-	// ElecFrac is the electrical bandwidth fraction; see
-	// SingleRequest.ElecFrac.
-	ElecFrac float64 `json:"elec_frac,omitempty"`
+	// Knobs are the optional per-algorithm parameters; see
+	// SingleRequest.Knobs.
+	algo.Knobs
 }
 
 // toAlgo validates the request into the registry shape.
@@ -255,7 +235,7 @@ func (r MultiRequest) toAlgo() (string, algo.Request, error) {
 	if name == "" {
 		name = algo.NameRecoMul
 	}
-	return name, algo.Request{Demands: ds, Weights: r.Weights, Delta: r.Delta, C: r.C, Cores: r.Cores, K: r.K, ElecFrac: r.ElecFrac}, nil
+	return name, algo.Request{Demands: ds, Weights: r.Weights, Delta: r.Delta, C: r.C, Knobs: r.Knobs}, nil
 }
 
 // Flow mirrors schedule.FlowInterval for the wire.
@@ -304,16 +284,9 @@ type AlgorithmInfo struct {
 	Capabilities Capabilities `json:"capabilities"`
 }
 
-// Capabilities mirrors algo.Capabilities for the wire.
-type Capabilities struct {
-	SingleCoflow bool `json:"singleCoflow"`
-	MultiCoflow  bool `json:"multiCoflow"`
-	NotAllStop   bool `json:"notAllStop"`
-	FlowLevel    bool `json:"flowLevel"`
-	Cores        bool `json:"cores"`
-	Sparse       bool `json:"sparse"`
-	Hybrid       bool `json:"hybrid"`
-}
+// Capabilities is algo.Capabilities, whose JSON tags define the wire
+// names.
+type Capabilities = algo.Capabilities
 
 // AlgorithmsResponse lists the scheduler registry in deterministic order.
 type AlgorithmsResponse struct {
@@ -404,19 +377,10 @@ func handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 	}
 	var resp AlgorithmsResponse
 	for _, sched := range algo.All() {
-		c := sched.Caps()
 		resp.Algorithms = append(resp.Algorithms, AlgorithmInfo{
-			Name:        sched.Name(),
-			Description: sched.Describe(),
-			Capabilities: Capabilities{
-				SingleCoflow: c.SingleCoflow,
-				MultiCoflow:  c.MultiCoflow,
-				NotAllStop:   c.NotAllStop,
-				FlowLevel:    c.FlowLevel,
-				Cores:        c.Cores,
-				Sparse:       c.Sparse,
-				Hybrid:       c.Hybrid,
-			},
+			Name:         sched.Name(),
+			Description:  sched.Describe(),
+			Capabilities: sched.Caps(),
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -493,9 +493,14 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// Validate the algorithm at submission time so a typo is a 400 now, not
-	// a failed job later.
-	if _, err := algo.Get(j.name); err != nil {
+	// Resolve and gate the request at submission time, exactly as the sync
+	// endpoints do, so a typo or an unsupported knob is a 400 now rather
+	// than a failed job later.
+	sched, err := algo.Get(j.name)
+	if err == nil {
+		err = algo.Check(sched, j.areq)
+	}
+	if err != nil {
 		writeError(w, statusFor(err), err.Error())
 		return
 	}

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"reco/internal/algo"
+	"reco/internal/obs"
 )
 
 // blockSched is a registry scheduler tests steer: when gate is non-nil,
@@ -54,9 +56,6 @@ func (b *blockSched) disarm() {
 }
 
 func (b *blockSched) Schedule(ctx context.Context, req algo.Request) (*algo.Result, error) {
-	if err := algo.ValidateRequest(req); err != nil {
-		return nil, err
-	}
 	b.mu.Lock()
 	gate, started := b.gate, b.started
 	b.mu.Unlock()
@@ -308,5 +307,48 @@ func TestJobEndpointMethods(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("DELETE /v1/jobs = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestJobSubmitGatesKnobs: a job whose knobs the sync endpoints reject —
+// an active knob without its capability, or an out-of-range value — is
+// rejected at submission with the sync endpoint's exact 400 body, and
+// nothing is queued or counted as submitted.
+func TestJobSubmitGatesKnobs(t *testing.T) {
+	ensureTestBlock()
+	reg := obs.NewRegistry()
+	obs.Attach(&obs.Sink{Metrics: reg})
+	defer obs.Detach()
+	s := NewServer(Options{})
+	srv := httptest.NewServer(s.Handler())
+	defer func() { srv.Close(); s.Close() }()
+
+	demand := `[[104,109,102],[103,105,107],[108,101,106]]`
+	cases := []struct{ kind, req string }{
+		{"single", `{"demand":` + demand + `,"delta":100,"cores":4}`},
+		{"single", `{"demand":` + demand + `,"delta":100,"algorithm":"reco-sin","k":3}`},
+		{"single", `{"demand":` + demand + `,"delta":100,"elec_frac":2}`},
+		{"single", `{"demand":` + demand + `,"delta":100,"algorithm":"hybrid-fluid","elec_frac":2}`},
+		{"single", `{"demand":` + demand + `,"delta":-1,"algorithm":"kcore","cores":2}`},
+		{"multi", `{"demands":[` + demand + `],"delta":100,"c":4,"elec_frac":0.5}`},
+		{"multi", `{"demands":[` + demand + `],"delta":100,"c":4,"algorithm":"kcore","cores":-3}`},
+	}
+	for _, tc := range cases {
+		syncStatus, syncBody := postRaw(t, srv.URL+"/v1/schedule/"+tc.kind, []byte(tc.req))
+		if syncStatus != http.StatusBadRequest {
+			t.Fatalf("sync %s %s: status %d, want 400", tc.kind, tc.req, syncStatus)
+		}
+		before := reg.Counter("jobs_submitted_total").Value()
+		job := `{"kind":"` + tc.kind + `","` + tc.kind + `":` + tc.req + `}`
+		status, body := postRaw(t, srv.URL+"/v1/jobs", []byte(job))
+		if status != http.StatusBadRequest || !bytes.Equal(body, syncBody) {
+			t.Errorf("job %s: %d %s, want 400 %s", job, status, body, syncBody)
+		}
+		if got := reg.Counter("jobs_submitted_total").Value(); got != before {
+			t.Errorf("job %s: jobs_submitted_total %d -> %d", job, before, got)
+		}
+	}
+	if jobs := s.jobs.list(); len(jobs) != 0 {
+		t.Errorf("rejected submissions left jobs behind: %+v", jobs)
 	}
 }

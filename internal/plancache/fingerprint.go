@@ -28,11 +28,10 @@ import (
 
 // Fingerprint returns the canonical cache key for a scheduling request
 // executed under the named algorithm: a hex SHA-256 over an unambiguous
-// binary serialization of the algorithm name, δ, c, the cores, k and
-// elec-frac knobs, weights and every demand matrix (dimension then
-// row-major entries).
-// Identical requests —
-// and only identical requests, up to hash collisions — share a fingerprint.
+// binary serialization of the algorithm name, δ, c, every algo.KnobTable
+// knob in table order, weights and every demand matrix (dimension then
+// row-major entries). Identical requests — and only identical requests, up
+// to hash collisions — share a fingerprint.
 func Fingerprint(alg string, req algo.Request) string {
 	return fingerprint(alg, req, 0)
 }
@@ -65,10 +64,10 @@ func fingerprint(alg string, req algo.Request, eps float64) string {
 	h.Write([]byte{0})
 	writeInt(req.Delta)
 	writeInt(req.C)
-	writeInt(int64(req.Cores))
-	writeInt(int64(req.K))
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(req.ElecFrac))
-	h.Write(buf[:])
+	for i := range algo.KnobTable {
+		binary.LittleEndian.PutUint64(buf[:], algo.KnobTable[i].Key(req.Knobs))
+		h.Write(buf[:])
+	}
 	writeInt(int64(len(req.Weights)))
 	for _, w := range req.Weights {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(w))

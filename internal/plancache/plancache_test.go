@@ -40,9 +40,9 @@ func TestFingerprintDistinguishes(t *testing.T) {
 		{"algorithm changed", "solstice", base},
 		{"weights added", "reco-sin", algo.Request{Demands: base.Demands, Delta: 100, C: 4, Weights: []float64{2}}},
 		{"c changed", "reco-sin", algo.Request{Demands: base.Demands, Delta: 100, C: 5}},
-		{"cores changed", "reco-sin", algo.Request{Demands: base.Demands, Delta: 100, C: 4, Cores: 4}},
-		{"k changed", "reco-sin", algo.Request{Demands: base.Demands, Delta: 100, C: 4, K: 3}},
-		{"elec frac changed", "reco-sin", algo.Request{Demands: base.Demands, Delta: 100, C: 4, ElecFrac: 0.25}},
+		{"cores changed", "reco-sin", algo.Request{Demands: base.Demands, Delta: 100, C: 4, Knobs: algo.Knobs{Cores: 4}}},
+		{"k changed", "reco-sin", algo.Request{Demands: base.Demands, Delta: 100, C: 4, Knobs: algo.Knobs{K: 3}}},
+		{"elec frac changed", "reco-sin", algo.Request{Demands: base.Demands, Delta: 100, C: 4, Knobs: algo.Knobs{ElecFrac: 0.25}}},
 	}
 	fp := Fingerprint("reco-sin", base)
 	for _, v := range variants {
